@@ -361,6 +361,7 @@ class skip_quadtree {
     const net::structural_section sw_structural_guard(*net_);
     net::cursor cur(*net_, origin);
     insert_chain(p, util::draw_membership(rng_), &cur);
+    clean_epoch_ = no_epoch;  // fresh records sit on base-0 windows, dead hosts or not
     return api::op_stats::of(cur);
   }
 
@@ -423,6 +424,14 @@ class skip_quadtree {
     return net::host_id{static_cast<std::uint32_t>((z ^ (z >> 31)) % net_->host_count())};
   }
 
+  // Current salt-window base of a node record (0 = never re-homed; exposed
+  // for tests, which rebuild the repair scan by brute force).
+  [[nodiscard]] std::uint32_t rehome_base(int level, int node) const {
+    if (rehome_.empty()) return 0;
+    const auto it = rehome_.find(rehome_key(level, node));
+    return it == rehome_.end() ? 0 : it->second;
+  }
+
   // --- self-repair (replication > 0 only; DESIGN.md §10) --------------------
   //
   // One repair step: find one node record whose replica window contains a
@@ -432,11 +441,14 @@ class skip_quadtree {
   // per fresh replica, the memory ledger moving with it. Returns the number
   // of records re-homed (0 = every record fully live; drive with
   // fault::repair_to_quiescence). Records whose whole window is dead are
-  // lost until a revive and are skipped. Structural plane.
+  // lost until a revive and are skipped. Structural plane. A clean step
+  // marks the structure clean, so further idle steps are O(1) until the
+  // mark lapses (see marked_clean).
   api::op_result<std::size_t> repair_step(net::host_id origin) {
     SW_EXPECTS(replication_ > 0);
     const net::structural_section sw_structural_guard(*net_);
     net::cursor cur(*net_, net_->host_alive(origin) ? origin : net_->any_live_host(origin));
+    if (marked_clean()) return {0, api::op_stats::of(cur)};
     std::size_t repaired = 0;
     scan_windows([&](int l, std::uint64_t prefix, int node, std::uint32_t base) {
       if (repaired > 0) return false;  // one record per step
@@ -458,14 +470,18 @@ class skip_quadtree {
       ++repaired;
       return false;
     });
+    if (repaired == 0) {
+      clean_epoch_ = net_->liveness_epoch();
+      clean_hosts_ = net_->host_count();
+    }
     return {repaired, api::op_stats::of(cur)};
   }
 
   // True while some node record's replica window mixes dead and live hosts
   // (local bookkeeping scan, no charges). Records with zero live replicas
-  // are lost, not repairable, and do not count.
+  // are lost, not repairable, and do not count. O(1) while marked clean.
   [[nodiscard]] bool needs_repair() const {
-    if (replication_ == 0 || !net_->faults_active()) return false;
+    if (replication_ == 0 || !net_->faults_active() || marked_clean()) return false;
     bool found = false;
     scan_windows([&](int l, std::uint64_t prefix, int node, std::uint32_t base) {
       if (window_needs_rehome(l, prefix, node, base)) {
@@ -715,13 +731,6 @@ class skip_quadtree {
            static_cast<std::uint64_t>(static_cast<std::uint32_t>(node));
   }
 
-  // Current salt-window base of a node record (0 = never re-homed).
-  [[nodiscard]] std::uint32_t rehome_base(int level, int node) const {
-    if (rehome_.empty()) return 0;
-    const auto it = rehome_.find(rehome_key(level, node));
-    return it == rehome_.end() ? 0 : it->second;
-  }
-
   void forget_rehome(int level, int node) {
     if (!rehome_.empty()) rehome_.erase(rehome_key(level, node));
   }
@@ -753,6 +762,17 @@ class skip_quadtree {
       }
       if (ok) return b;
     }
+  }
+
+  // The clean mark: the last repair_step found no mixed window, and nothing
+  // that could create one has happened since. A kill or revive moves the
+  // liveness epoch (a revive can turn a lost all-dead window mixed); a new
+  // host re-maps every window, since replica_host hashes modulo the host
+  // count; an insert places records on base-0 windows (it drops the mark
+  // itself). Erases only free records and leave every surviving window as
+  // it was, so they keep the mark.
+  [[nodiscard]] bool marked_clean() const {
+    return clean_epoch_ == net_->liveness_epoch() && clean_hosts_ == net_->host_count();
   }
 
   // Visit every live node record (level, prefix, node, window base), top
@@ -790,6 +810,11 @@ class skip_quadtree {
   // Absent = base 0. Entries die with their slot (see erase()).
   std::unordered_map<std::uint64_t, std::uint32_t> rehome_;
   std::vector<util::membership_bits> anchors_;
+  // Clean mark (see marked_clean); structural plane writes only. Not
+  // persisted: a restored index starts unmarked.
+  static constexpr std::uint64_t no_epoch = ~std::uint64_t{0};
+  std::uint64_t clean_epoch_ = no_epoch;
+  std::size_t clean_hosts_ = 0;
 };
 
 }  // namespace skipweb::core

@@ -312,6 +312,7 @@ api::op_stats skipweb_1d::insert(std::uint64_t key, net::host_id origin) {
     // Structural edits require a repaired structure (no dead item still
     // spliced): the fault route returns LIVE flanks, and splice_in needs
     // the direct ones — after repair they coincide.
+    advance_repair_scan();  // keeps the check below O(1) per write
     SW_EXPECTS(!needs_repair());
     const int root = fault_root(cur, origin);
     flanks = route_search_fault(lists_, *net_, key, root, lists_.levels(), cur, host_fn,
@@ -362,6 +363,7 @@ api::op_stats skipweb_1d::erase(std::uint64_t key, net::host_id origin) {
   auto host_fn = [this](int i, int l) { return host_of(i, l); };
   std::pair<int, int> flanks;
   if (fault_routing()) {
+    advance_repair_scan();
     SW_EXPECTS(!needs_repair());  // see insert
     const int root = fault_root(cur, origin);
     flanks = route_search_fault(lists_, *net_, key, root, lists_.levels(), cur, host_fn,
@@ -411,10 +413,20 @@ void skipweb_1d::charge_replica_refresh(net::cursor& cur, int left0, int right0)
 
 bool skipweb_1d::needs_repair() const {
   if (lists_.replication() == 0 || !net_->faults_active()) return false;
-  for (int i = 0; i < static_cast<int>(lists_.arena_size()); ++i) {
-    if (lists_.alive(i) && !net_->host_alive(owner_[static_cast<std::size_t>(i)])) return true;
+  for (int i = repair_scan_start(); i < static_cast<int>(lists_.arena_size()); ++i) {
+    if (dead_owned(i)) return true;
   }
   return false;
+}
+
+int skipweb_1d::advance_repair_scan() {
+  if (lists_.replication() == 0 || !net_->faults_active()) return -1;
+  scanned_ = repair_scan_start();
+  scan_epoch_ = net_->liveness_epoch();
+  for (; scanned_ < static_cast<int>(lists_.arena_size()); ++scanned_) {
+    if (dead_owned(scanned_)) return scanned_;
+  }
+  return -1;
 }
 
 api::op_result<std::size_t> skipweb_1d::repair_step(net::host_id origin) {
@@ -422,31 +434,30 @@ api::op_result<std::size_t> skipweb_1d::repair_step(net::host_id origin) {
   const net::structural_section sw_structural_guard(*net_);
   // Repair is driven from a live host (the daemon runs somewhere alive).
   net::cursor cur(*net_, net_->host_alive(origin) ? origin : net_->any_live_host(origin));
-  for (int i = 0; i < static_cast<int>(lists_.arena_size()); ++i) {
-    if (!lists_.alive(i)) continue;
-    const auto owner = owner_[static_cast<std::size_t>(i)];
-    if (net_->host_alive(owner)) continue;
-    SW_EXPECTS(lists_.size() >= 2);  // the structure never becomes empty
-    // The failed ping that detected the crash.
-    (void)cur.try_move_to(owner);
-    // Relink every level around the dead item, visiting each surviving
-    // neighbour (dead neighbours — not yet repaired themselves — cost the
-    // detection probe only; their own step removes them later, and
-    // unsplicing in any order keeps the lists consistent).
-    for (int l = 0; l <= lists_.levels(); ++l) {
-      const int pv = lists_.prev(i, l);
-      const int nx = lists_.next(i, l);
-      if (pv >= 0) (void)cur.try_move_to(host_of(pv, l));
-      if (nx >= 0) (void)cur.try_move_to(host_of(nx, l));
-    }
-    const int pv0 = lists_.prev(i, 0);
-    const int nx0 = lists_.next(i, 0);
-    charge_item_memory(i, -1);
-    lists_.unsplice(i);
-    charge_replica_refresh(cur, pv0, nx0);
-    return {1, api::op_stats::of(cur)};
+  // The lowest dead-owned slot, as a scan from slot 0 would find it; the
+  // cache only skips the prefix an earlier step already proved clean.
+  const int i = advance_repair_scan();
+  if (i < 0) return {0, api::op_stats::of(cur)};
+  const auto owner = owner_[static_cast<std::size_t>(i)];
+  SW_EXPECTS(lists_.size() >= 2);  // the structure never becomes empty
+  // The failed ping that detected the crash.
+  (void)cur.try_move_to(owner);
+  // Relink every level around the dead item, visiting each surviving
+  // neighbour (dead neighbours — not yet repaired themselves — cost the
+  // detection probe only; their own step removes them later, and
+  // unsplicing in any order keeps the lists consistent).
+  for (int l = 0; l <= lists_.levels(); ++l) {
+    const int pv = lists_.prev(i, l);
+    const int nx = lists_.next(i, l);
+    if (pv >= 0) (void)cur.try_move_to(host_of(pv, l));
+    if (nx >= 0) (void)cur.try_move_to(host_of(nx, l));
   }
-  return {0, api::op_stats::of(cur)};
+  const int pv0 = lists_.prev(i, 0);
+  const int nx0 = lists_.next(i, 0);
+  charge_item_memory(i, -1);
+  lists_.unsplice(i);
+  charge_replica_refresh(cur, pv0, nx0);
+  return {1, api::op_stats::of(cur)};
 }
 
 void skipweb_1d::charge_item_memory(int item, std::int64_t sign) {

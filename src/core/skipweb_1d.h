@@ -122,8 +122,10 @@ class skipweb_1d {
   // drive with fault::repair_to_quiescence). level_lists::check_invariants
   // holds after every step. Structural plane, like insert/erase.
   api::op_result<std::size_t> repair_step(net::host_id origin);
-  // True while some spliced item's owner host is dead (local bookkeeping
-  // scan, no charges).
+  // True while some spliced item's owner host is dead (local bookkeeping, no
+  // charges). Exact. It scans only the slots no structural op has proved
+  // clean at the network's current liveness epoch, so it is O(1) after any
+  // insert, erase or repair step at that epoch (DESIGN.md §10).
   [[nodiscard]] bool needs_repair() const;
 
  private:
@@ -139,6 +141,18 @@ class skipweb_1d {
   [[nodiscard]] int fault_root(net::cursor& cur, net::host_id origin) const;
   [[nodiscard]] int root_for(net::host_id origin) const;
   void charge_item_memory(int item, std::int64_t sign);
+  [[nodiscard]] bool dead_owned(int item) const {
+    return lists_.alive(item) && !net_->host_alive(owner_[static_cast<std::size_t>(item)]);
+  }
+  // Where the dead-owned-item scan may start: scanned_ while the liveness
+  // epoch is still scan_epoch_, else slot 0.
+  [[nodiscard]] int repair_scan_start() const {
+    return scan_epoch_ == net_->liveness_epoch() ? scanned_ : 0;
+  }
+  // The lowest dead-owned slot (-1 if none), advancing scanned_ past every
+  // slot it proves clean. Structural plane only: the one writer of the scan
+  // cache.
+  int advance_repair_scan();
   // Visit the up-to-(k+1) neighbours on each side whose replica lists a
   // splice/unsplice refreshed (dead ones cost their detection probe only).
   // No-op when replication is off.
@@ -155,6 +169,13 @@ class skipweb_1d {
   placement policy_;
   std::vector<net::host_id> owner_;  // per arena slot: tower host (tower placement)
   std::vector<int> root_item_;       // per host: anchor item whose tower seeds searches
+  // Repair-scan cache: at liveness epoch scan_epoch_, no slot below scanned_
+  // holds a dead-owned item. Only a liveness change can break that — inserts
+  // place items on fresh live hosts (replication implies tower placement)
+  // and erases/repairs only remove — so it holds until the epoch moves. Not
+  // persisted: a restored index starts cold.
+  std::uint64_t scan_epoch_ = ~std::uint64_t{0};
+  int scanned_ = 0;
 };
 
 }  // namespace skipweb::core

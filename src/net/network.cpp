@@ -50,6 +50,7 @@ void network::kill_host(host_id h) {
   if (dead_[h.value] == 0) {
     dead_[h.value] = 1;
     ++killed_count_;
+    ++liveness_epoch_;
   }
   SW_ASSERT(killed_count_ < hosts_);  // at least one live host always remains
 }
@@ -60,6 +61,7 @@ void network::revive_host(host_id h) {
   if (!dead_.empty() && dead_[h.value] != 0) {
     dead_[h.value] = 0;
     --killed_count_;
+    ++liveness_epoch_;
   }
 }
 

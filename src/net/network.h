@@ -233,6 +233,12 @@ class network {
     return dead_.empty() || dead_[h.value] == 0;
   }
   [[nodiscard]] std::size_t hosts_killed() const { return killed_count_; }
+  // Bumped on every real alive/dead transition (a kill of a live host or a
+  // revive of a dead one; repeats are no-ops). Structures that cache "no
+  // record depends on a dead host" key the cache on this counter, so the
+  // check is O(1) until liveness actually changes (DESIGN.md §10). Same
+  // write discipline as dead_.
+  [[nodiscard]] std::uint64_t liveness_epoch() const { return liveness_epoch_; }
   [[nodiscard]] std::size_t live_host_count() const { return hosts_ - killed_count_; }
   // Any live host, scanning from `near` upward (wrapping): the fallback
   // query entry point when a preferred origin is dead. Asserts at least one
@@ -382,6 +388,7 @@ class network {
   std::vector<std::uint8_t> dead_;
   std::vector<std::uint32_t> partition_;
   std::size_t killed_count_ = 0;
+  std::uint64_t liveness_epoch_ = 0;
   double loss_p_ = 0.0;
   std::uint64_t loss_seed_ = 0;
   // Latency plane (same write discipline as dead_/partition_).

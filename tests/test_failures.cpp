@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <mutex>
 #include <set>
 #include <shared_mutex>
@@ -24,6 +25,8 @@
 #include "fault/repair.h"
 #include "net/cursor.h"
 #include "net/network.h"
+#include "persist/snapshot.h"
+#include "temp_path.h"
 #include "util/rng.h"
 #include "workloads/workloads.h"
 
@@ -585,6 +588,285 @@ TEST(ChurnSustained, InjectorReplaysTheScheduleExactly) {
   }
   for (const auto d : dead) killed += d ? 1u : 0u;
   EXPECT_EQ(net.hosts_killed(), killed);
+}
+
+// --- the repair-scan cache (DESIGN.md §10) -----------------------------------
+//
+// needs_repair() and the clean repair_step() answer from a cache keyed on the
+// network's liveness epoch. These tapes hold the cache to brute-force scans
+// written here, after every step of a seeded kill / revive / insert / erase /
+// repair mix, so a missed invalidation shows up as the first diverging step.
+
+// The lowest arena slot still holding an item whose owner host is dead, or
+// -1: the item the next repair step must remove.
+int brute_dead_owned(const skipweb_1d& web, const network& net) {
+  for (int i = 0; i < static_cast<int>(web.lists().arena_size()); ++i) {
+    if (web.lists().alive(i) && !net.host_alive(web.host_of(i, 0))) return i;
+  }
+  return -1;
+}
+
+// Every node record's replica window (its k+1 hosts), by brute force.
+template <int D>
+std::vector<std::vector<host_id>> replica_windows(const core::skip_quadtree<D>& qt) {
+  const auto k = static_cast<std::uint32_t>(qt.replication());
+  std::vector<std::vector<host_id>> out;
+  for (int l = 0; l <= qt.levels(); ++l) {
+    qt.structure().for_each_tree(l, [&](std::uint64_t prefix, const auto& tr) {
+      std::vector<int> stack{tr.root};
+      while (!stack.empty()) {
+        const int v = stack.back();
+        stack.pop_back();
+        const auto base = qt.rehome_base(l, v);
+        auto& window = out.emplace_back();
+        for (std::uint32_t j = 0; j <= k; ++j) {
+          window.push_back(qt.replica_host(l, prefix, v, base + j));
+        }
+        for (int c = 0; c < core::skip_quadtree<D>::fanout; ++c) {
+          const int child = qt.structure().child_at(l, v, c).node;
+          if (child >= 0) stack.push_back(child);
+        }
+      }
+    });
+  }
+  return out;
+}
+
+std::size_t live_count(const std::vector<host_id>& window, const network& net) {
+  return static_cast<std::size_t>(
+      std::count_if(window.begin(), window.end(), [&](host_id v) { return net.host_alive(v); }));
+}
+
+// True if some node record's window mixes dead and live hosts.
+template <int D>
+bool brute_mixed_window(const core::skip_quadtree<D>& qt, const network& net) {
+  for (const auto& window : replica_windows(qt)) {
+    const auto live = live_count(window, net);
+    if (live != 0 && live != window.size()) return true;
+  }
+  return false;
+}
+
+// One liveness flip of the tapes below: kill a random host other than the
+// origin (possibly one already dead — a repeat must not move the epoch's
+// meaning), or revive a random dead one.
+void flip_liveness(network& net, rng& tape, std::vector<host_id>& dead, bool kill) {
+  if (kill) {
+    const host_id v = h(1 + static_cast<std::uint32_t>(tape.index(net.host_count() - 1)));
+    if (net.host_alive(v)) dead.push_back(v);
+    net.kill_host(v);
+  } else if (!dead.empty()) {
+    const std::size_t at = tape.index(dead.size());
+    net.revive_host(dead[at]);
+    dead.erase(dead.begin() + static_cast<std::ptrdiff_t>(at));
+  }
+}
+
+TEST(RepairCache, OneDNeedsRepairMatchesBruteForceOnEveryStep) {
+  rng r(4901);
+  const auto keys = wl::uniform_keys(256, r);
+  network net(keys.size());
+  skipweb_1d web(keys, 71, net, skipweb_1d::placement::tower, 2);
+  rng tape(4902);
+  std::vector<host_id> dead;
+  std::size_t repaired = 0, refused = 0;
+  for (std::size_t step = 0; step < 1500; ++step) {
+    const int due = brute_dead_owned(web, net);
+    switch (tape.index(6)) {
+      case 0:
+      case 1:
+        flip_liveness(net, tape, dead, tape.index(2) == 0);
+        break;
+      case 2: {  // writes need a repaired structure: the contract is exact
+        const auto k = tape.uniform_u64(0, (std::uint64_t{1} << 62) - 1);
+        if (due >= 0) {
+          EXPECT_THROW((void)web.insert(k, h(0)), util::contract_error) << "step " << step;
+          ++refused;
+        } else {
+          (void)web.insert(k, h(0));
+        }
+        break;
+      }
+      case 3: {
+        if (web.size() <= 16) break;
+        int slot = -1;
+        while (slot < 0 || !web.lists().alive(slot)) {
+          slot = static_cast<int>(tape.index(web.lists().arena_size()));
+        }
+        const auto k = web.lists().key(slot);
+        if (due >= 0) {
+          EXPECT_THROW((void)web.erase(k, h(0)), util::contract_error) << "step " << step;
+          ++refused;
+        } else {
+          (void)web.erase(k, h(0));
+        }
+        break;
+      }
+      default: {  // repair removes exactly the lowest dead-owned slot
+        const auto res = web.repair_step(h(0));
+        ASSERT_EQ(res.value, due >= 0 ? 1u : 0u) << "step " << step;
+        if (due >= 0) {
+          EXPECT_FALSE(web.lists().alive(due)) << "step " << step;
+        }
+        repaired += res.value;
+        break;
+      }
+    }
+    ASSERT_EQ(web.needs_repair(), brute_dead_owned(web, net) >= 0) << "step " << step;
+    ASSERT_TRUE(web.lists().check_invariants()) << "step " << step;
+  }
+  // The tape really visited both sides of the cache.
+  EXPECT_GT(repaired, 20u);
+  EXPECT_GT(refused, 20u);
+}
+
+TEST(RepairCache, QuadtreeNeedsRepairMatchesBruteForceOnEveryStep) {
+  rng r(4911);
+  const auto pts = wl::uniform_points<2>(192, r);
+  network net(pts.size());
+  core::skip_quadtree<2> qt(pts, 81, net, 2);
+  std::vector<core::skip_quadtree<2>::point> present(pts.begin(), pts.end());
+  rng tape(4912);
+  std::vector<host_id> dead;
+  std::size_t repaired = 0, clean_steps = 0, dirtied_by_insert = 0;
+  // One checked repair step: it re-homes a record exactly when one is mixed.
+  auto repair_once = [&](std::size_t step) {
+    const bool due = brute_mixed_window(qt, net);
+    const auto res = qt.repair_step(h(0));
+    EXPECT_EQ(res.value, due ? 1u : 0u) << "step " << step;
+    EXPECT_EQ(qt.needs_repair(), brute_mixed_window(qt, net)) << "step " << step;
+    repaired += res.value;
+    if (!due) ++clean_steps;
+    return res.value;
+  };
+  for (std::size_t step = 0; step < 600; ++step) {
+    switch (tape.index(8)) {
+      case 0:  // a kill dirties ~a dozen windows, so flips stay rare
+        flip_liveness(net, tape, dead, tape.index(2) == 0);
+        break;
+      case 1:
+      case 2: {  // fresh records land on base-0 windows, dead hosts or not
+        const auto p = wl::uniform_points<2>(1, tape).front();
+        if (qt.structure().find_point(p) >= 0) break;
+        const bool was_mixed = brute_mixed_window(qt, net);
+        (void)qt.insert(p, h(0));
+        present.push_back(p);
+        if (!was_mixed && brute_mixed_window(qt, net)) ++dirtied_by_insert;
+        break;
+      }
+      case 3: {
+        if (present.size() <= 16) break;
+        const std::size_t at = tape.index(present.size());
+        (void)qt.erase(present[at], h(0));
+        present.erase(present.begin() + static_cast<std::ptrdiff_t>(at));
+        break;
+      }
+      case 4:
+      case 5:
+        repair_once(step);
+        break;
+      default:  // to quiescence, so clean marks are set and then tested
+        while (repair_once(step) > 0) {
+        }
+        break;
+    }
+    ASSERT_EQ(qt.needs_repair(), brute_mixed_window(qt, net)) << "step " << step;
+    ASSERT_TRUE(qt.check_invariants()) << "step " << step;
+  }
+  EXPECT_GT(repaired, 20u);
+  EXPECT_GT(clean_steps, 20u);
+  EXPECT_GT(dirtied_by_insert, 2u);
+
+  // A revive alone can dirty a clean structure: it turns a lost (all-dead)
+  // window into a mixed one. Lose one window on purpose, repair the rest,
+  // then revive one of its hosts.
+  for (const auto v : dead) net.revive_host(v);
+  std::vector<host_id> lost;
+  for (const auto& window : replica_windows(qt)) {
+    if (std::find(window.begin(), window.end(), h(0)) == window.end()) {
+      lost = window;
+      break;
+    }
+  }
+  ASSERT_FALSE(lost.empty());
+  for (const auto v : lost) net.kill_host(v);
+  while (qt.repair_step(h(0)).value > 0) {
+  }
+  ASSERT_FALSE(qt.needs_repair());
+  ASSERT_EQ(live_count(lost, net), 0u);
+  net.revive_host(lost.front());
+  EXPECT_TRUE(brute_mixed_window(qt, net));
+  EXPECT_TRUE(qt.needs_repair());
+  EXPECT_EQ(qt.repair_step(h(0)).value, 1u);
+}
+
+// A restored twin starts with a cold cache and scans from slot 0; the
+// original resumes wherever its cache stands. Their repair runs must still
+// agree receipt for receipt — including across a liveness change mid-run,
+// which must reset the original's resume point.
+TEST(RepairCache, ColdRestoredTwinRepairsLikeTheWarmOriginal) {
+  rng r(4921);
+  const auto keys = wl::uniform_keys(320, r);
+  network net(keys.size());
+  skipweb_1d web(keys, 91, net, skipweb_1d::placement::tower, 2);
+
+  // Warm the original's cache: crashes, their repair, then writes.
+  const std::vector<host_id> early{h(3), h(40), h(77)};
+  for (const auto v : early) net.kill_host(v);
+  while (web.repair_step(h(0)).value > 0) {
+  }
+  rng w(4922);
+  for (int i = 0; i < 24; ++i) (void)web.insert(w.uniform_u64(0, (std::uint64_t{1} << 62) - 1), h(0));
+  for (int i = 0; i < 8; ++i) (void)web.erase(web.lists().key(web.lists().any_alive()), h(0));
+  ASSERT_FALSE(web.needs_repair());
+
+  const auto path = testing_support::temp_path("twin");
+  {
+    persist::writer out(path);
+    web.save_snapshot(out);
+    out.finish();
+  }
+  persist::reader in(path, persist::restore_mode::map);
+  network twin_net(1);
+  skipweb_1d twin(in, twin_net);
+  for (const auto v : early) twin_net.kill_host(v);  // liveness is not persisted
+
+  // The burst, applied to both deployments.
+  auto kill_both = [&](host_id v) {
+    net.kill_host(v);
+    twin_net.kill_host(v);
+  };
+  for (std::uint32_t v = 5; v < keys.size(); v += 9) kill_both(h(v));
+  ASSERT_TRUE(web.needs_repair());
+  ASSERT_TRUE(twin.needs_repair());
+
+  std::size_t steps = 0, repaired = 0;
+  for (;; ++steps) {
+    if (steps == 6) {
+      // Mid-run liveness change: revive a host still owning a spliced item,
+      // and kill one owning a slot below where the original's scan stands.
+      const int pending = brute_dead_owned(web, net);
+      ASSERT_GE(pending, 0);
+      net.revive_host(web.host_of(pending, 0));
+      twin_net.revive_host(twin.host_of(pending, 0));
+      kill_both(h(2));
+    }
+    const auto a = web.repair_step(h(0));
+    const auto b = twin.repair_step(h(0));
+    ASSERT_EQ(a.value, b.value) << "step " << steps;
+    ASSERT_EQ(a.stats, b.stats) << "step " << steps;
+    repaired += a.value;
+    if (a.value == 0) break;
+  }
+  EXPECT_GT(repaired, 20u);
+  EXPECT_EQ(web.size(), twin.size());
+  EXPECT_FALSE(web.needs_repair());
+  EXPECT_FALSE(twin.needs_repair());
+  EXPECT_EQ(brute_dead_owned(web, net), -1);
+  ASSERT_TRUE(web.lists().check_invariants());
+  ASSERT_TRUE(twin.lists().check_invariants());
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
 }
 
 // --- background repair racing the query plane (the TSan headline) -----------

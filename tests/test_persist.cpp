@@ -21,6 +21,7 @@
 #include "core/level_lists.h"
 #include "net/network.h"
 #include "persist/snapshot.h"
+#include "temp_path.h"
 #include "util/rng.h"
 #include "workloads/workloads.h"
 
@@ -35,14 +36,10 @@ namespace wl = skipweb::workloads;
 
 host_id h(std::uint32_t v) { return host_id{v}; }
 
-// Per-test snapshot path; removed on the way in so build-or-restore tests
-// start from a clean slate.
-std::string snap_path(const std::string& name) {
-  const auto p = fs::path(::testing::TempDir()) / ("skipweb_" + name + ".snap");
-  std::error_code ec;
-  fs::remove(p, ec);
-  return p.string();
-}
+// Per-test snapshot path, unique to the running test and process (see
+// temp_path.h); removed on the way in so build-or-restore tests start from a
+// clean slate.
+std::string snap_path(const std::string& name) { return testing_support::temp_path(name); }
 
 void flip_byte(const std::string& path, std::uint64_t offset) {
   std::FILE* f = std::fopen(path.c_str(), "r+b");
