@@ -107,8 +107,14 @@ class skiptrie_text_adapter final : public string_index {
   // searches — the cost-shape contrast the differential suite pins.
   [[nodiscard]] op_result<std::uint64_t> prefix_count(const std::string& prefix,
                                                       net::host_id origin) const override {
-    const auto res = impl_.with_prefix(prefix, origin);
-    return {res.value.size(), res.stats};
+    return impl_.prefix_count(prefix, origin);
+  }
+
+  // Same walk and receipt as prefix_match, ranked in place.
+  [[nodiscard]] op_result<std::vector<std::string>> top_k(const std::string& prefix,
+                                                          std::size_t k,
+                                                          net::host_id origin) const override {
+    return impl_.top_k(prefix, k, origin);
   }
 
   [[nodiscard]] op_result<std::vector<std::string>> lex_range(

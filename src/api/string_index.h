@@ -66,6 +66,51 @@ enum class string_capability : std::uint32_t {
   return z ^ (z >> 31);
 }
 
+// Streaming top-k under the (string_weight desc, key asc) order: each
+// offered key is weighed once and held by pointer in a k-entry heap whose
+// worst entry sits on top, so ranking N keys costs O(N log k) and copies only
+// the k winners. Offered strings must stay alive until take(). Stored keys
+// are distinct, so the order is total and the winners are exactly the first
+// k of a full sort.
+class weight_ranker {
+ public:
+  explicit weight_ranker(std::size_t k) : k_(k) { SW_EXPECTS(k > 0); }
+
+  void offer(const std::string& key) {
+    const entry e{string_weight(key), &key};
+    if (heap_.size() < k_) {
+      heap_.push_back(e);
+      std::push_heap(heap_.begin(), heap_.end(), ranks_before);
+    } else if (ranks_before(e, heap_.front())) {
+      std::pop_heap(heap_.begin(), heap_.end(), ranks_before);
+      heap_.back() = e;
+      std::push_heap(heap_.begin(), heap_.end(), ranks_before);
+    }
+  }
+
+  // The winners, best first; the ranker is empty afterwards.
+  [[nodiscard]] std::vector<std::string> take() {
+    std::sort_heap(heap_.begin(), heap_.end(), ranks_before);
+    std::vector<std::string> out;
+    out.reserve(heap_.size());
+    for (const entry& e : heap_) out.push_back(*e.key);
+    heap_.clear();
+    return out;
+  }
+
+ private:
+  struct entry {
+    std::uint64_t weight;
+    const std::string* key;
+  };
+  static bool ranks_before(const entry& a, const entry& b) {
+    return a.weight != b.weight ? a.weight > b.weight : *a.key < *b.key;
+  }
+
+  std::size_t k_;
+  std::vector<entry> heap_;
+};
+
 // Tokenization shared by the posting plane (multi-term intersection) and its
 // oracles: maximal runs of ASCII alphanumerics; every other byte separates.
 // A key with no separators is its own single token.
@@ -164,18 +209,18 @@ class string_index {
 
   /// \brief Top-k completion: the k stored keys extending `prefix` ranked by
   /// (string_weight desc, key asc). The default enumerates the prefix
-  /// subtree via prefix_match and ranks — the honest output-sensitive price;
-  /// a backend with score-ordered skip pointers would override.
+  /// subtree via prefix_match and ranks — the honest output-sensitive price,
+  /// with prefix_match's receipt; a backend that walks its own subtree ranks
+  /// in place (same receipt), one with score-ordered skip pointers would
+  /// override with a cheaper one.
   /// \pre k > 0. \note Query plane.
   [[nodiscard]] virtual op_result<std::vector<std::string>> top_k(const std::string& prefix,
                                                                   std::size_t k,
                                                                   net::host_id origin) const {
-    SW_EXPECTS(k > 0);
-    auto res = prefix_match(prefix, origin);
-    op_result<std::vector<std::string>> out;
-    out.stats = res.stats;
-    out.value = rank_by_weight(std::move(res.value), k);
-    return out;
+    weight_ranker rank(k);
+    const auto res = prefix_match(prefix, origin);
+    for (const auto& key : res.value) rank.offer(key);
+    return {rank.take(), res.stats};
   }
 
   /// \brief Multi-term posting intersection: all stored keys containing
@@ -208,17 +253,6 @@ class string_index {
 
  protected:
   string_index() = default;
-
-  // The shared top-k ranking: weight desc, key asc, truncated at k.
-  [[nodiscard]] static std::vector<std::string> rank_by_weight(std::vector<std::string> keys,
-                                                               std::size_t k) {
-    std::sort(keys.begin(), keys.end(), [](const std::string& a, const std::string& b) {
-      const auto wa = string_weight(a), wb = string_weight(b);
-      return wa != wb ? wa > wb : a < b;
-    });
-    if (keys.size() > k) keys.resize(k);
-    return keys;
-  }
 };
 
 }  // namespace skipweb::api

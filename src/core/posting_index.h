@@ -79,42 +79,48 @@ class posting_index {
     // One directory probe per term: the hop to the token's home slot is paid
     // whether or not the term exists (a real node would answer "no such
     // term" from there).
-    std::vector<const std::vector<std::uint64_t>*> lists;
+    std::vector<probe_list> lists;
     lists.reserve(terms.size());
     for (const auto& t : terms) {
-      cur.move_to(host_of(t, 0));
+      probe_list pl{hash_term(t)};
+      cur.move_to(pl.host_of(0, *this));
       cur.note_comparisons(1);
       const auto it = postings_.find(t);
       if (it == postings_.end()) return {};
-      lists.push_back(&it->second);
+      pl.list = &it->second;
+      lists.push_back(pl);
     }
     std::vector<std::size_t> order(lists.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) { return lists[a]->size() < lists[b]->size(); });
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return lists[a].list->size() < lists[b].list->size();
+    });
 
-    const auto& driver = *lists[order[0]];
-    std::vector<std::size_t> frontier(lists.size(), 0);  // per-list resume point
-    std::vector<std::string> out;
-    for (const std::uint64_t uid : driver) {
-      if (limit != 0 && out.size() >= limit) break;
+    // Hits point into key_of_ (stable for the call); each is copied once,
+    // after the pointer sort.
+    std::vector<const std::string*> hits;
+    for (const std::uint64_t uid : *lists[order[0]].list) {
+      if (limit != 0 && hits.size() >= limit) break;
       if (cur.expired()) {
         cur.mark_degraded();
         break;
       }
       bool everywhere = true;
       for (std::size_t oi = 1; oi < order.size(); ++oi) {
-        const std::size_t li = order[oi];
-        const std::size_t pos = gallop(terms[li], *lists[li], frontier[li], uid, cur);
-        frontier[li] = pos;
-        if (pos == lists[li]->size() || (*lists[li])[pos] != uid) {
+        probe_list& pl = lists[order[oi]];
+        const std::size_t pos = gallop(pl, uid, cur);
+        if (pos == pl.list->size() || (*pl.list)[pos] != uid) {
           everywhere = false;
           break;
         }
       }
-      if (everywhere) out.push_back(key_of_.at(uid));
+      if (everywhere) hits.push_back(&key_of_.at(uid));
     }
-    std::sort(out.begin(), out.end());
+    std::sort(hits.begin(), hits.end(),
+              [](const std::string* a, const std::string* b) { return *a < *b; });
+    std::vector<std::string> out;
+    out.reserve(hits.size());
+    for (const std::string* k : hits) out.push_back(*k);
     return out;
   }
 
@@ -146,16 +152,37 @@ class posting_index {
     return toks;
   }
 
-  // First position >= `target` in `list`, galloping from `from`: doubling
-  // probes bracket the target, a binary search pins it. Every slot examined
-  // is one priced hop — the probe count is what the receipt reports, and
-  // what skipping saves.
-  [[nodiscard]] std::size_t gallop(const std::string& term,
-                                   const std::vector<std::uint64_t>& list, std::size_t from,
-                                   std::uint64_t target, net::cursor& cur) const {
+  // One term's posting list as an intersection walks it: the term hashed
+  // once per query, the resume point, and the host of the last block probed
+  // (kBlock consecutive slots share a host, so runs of probes in one block
+  // skip the slot->host hash).
+  struct probe_list {
+    std::uint64_t term_hash;
+    const std::vector<std::uint64_t>* list = nullptr;
+    std::size_t frontier = 0;
+    std::size_t block = SIZE_MAX;
+    net::host_id host{};
+
+    net::host_id host_of(std::size_t slot, const posting_index& pi) {
+      if (slot / kBlock != block) {
+        block = slot / kBlock;
+        host = pi.block_host(term_hash, block);
+      }
+      return host;
+    }
+  };
+
+  // First position >= `target` in the list, galloping from its frontier
+  // (which it advances): doubling probes bracket the target, a binary search
+  // pins it. Every slot examined is one priced hop — the probe count is what
+  // the receipt reports, and what skipping saves.
+  [[nodiscard]] std::size_t gallop(probe_list& pl, std::uint64_t target,
+                                   net::cursor& cur) const {
+    const std::vector<std::uint64_t>& list = *pl.list;
     const std::size_t n = list.size();
+    const std::size_t from = pl.frontier;
     auto probe = [&](std::size_t i) {
-      cur.move_to(host_of(term, i));
+      cur.move_to(pl.host_of(i, *this));
       cur.note_comparisons(1);
       return list[i];
     };
@@ -175,6 +202,7 @@ class posting_index {
         hi = mid;
       }
     }
+    pl.frontier = hi;
     return hi;
   }
 
@@ -182,9 +210,12 @@ class posting_index {
   // are blocked across the deployment, so sequential scans stay cheap while
   // long skips genuinely change hosts.
   static constexpr std::size_t kBlock = 16;
-  [[nodiscard]] net::host_id host_of(const std::string& term, std::size_t slot) const {
-    std::uint64_t z = salt_ ^ (std::hash<std::string>{}(term) + 0x9e3779b97f4a7c15ull);
-    z ^= (slot / kBlock) + 0x2545f4914f6cdd1dull + (z << 6) + (z >> 2);
+  [[nodiscard]] std::uint64_t hash_term(const std::string& term) const {
+    return salt_ ^ (std::hash<std::string>{}(term) + 0x9e3779b97f4a7c15ull);
+  }
+  [[nodiscard]] net::host_id block_host(std::uint64_t term_hash, std::size_t block) const {
+    std::uint64_t z = term_hash;
+    z ^= block + 0x2545f4914f6cdd1dull + (z << 6) + (z >> 2);
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     return net::host_id{static_cast<std::uint32_t>((z ^ (z >> 31)) % hosts_)};

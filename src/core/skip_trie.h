@@ -8,6 +8,7 @@
 
 #include "api/memory_footprint.h"
 #include "api/op_stats.h"
+#include "api/string_index.h"  // api::weight_ranker
 #include "net/cursor.h"
 #include "net/network.h"
 #include "seq/trie.h"
@@ -29,10 +30,11 @@ namespace skipweb::core {
 // even when the underlying trie has Θ(n) depth.
 //
 // Concurrency contract (audited for the serving executor): the query surface
-// (locate/contains/longest_common_prefix/with_prefix) reads tries_, bits_
-// and anchors_ without writing any shared state — traffic accounting rides
-// in the cursor's local receipt — so concurrent const queries are data-race
-// free. insert/erase are single-writer, never concurrent with queries.
+// (locate/contains/longest_common_prefix/with_prefix/prefix_count/top_k/
+// range) reads tries_, bits_ and anchors_ without writing any shared state —
+// traffic accounting rides in the cursor's local receipt — so concurrent
+// const queries are data-race free. insert/erase are single-writer, never
+// concurrent with queries.
 class skip_trie {
  public:
   skip_trie(const std::vector<std::string>& keys, std::uint64_t seed, net::network& net)
@@ -114,57 +116,35 @@ class skip_trie {
     return {q.substr(0, r.matched), r.stats};
   }
 
-  // All stored strings with the given prefix (the ISBN/publisher scenario):
-  // locate the subtree via the skip levels, then walk it, paying one hop per
-  // trie node visited (output-sensitive enumeration).
+  // All stored strings with the given prefix (the ISBN/publisher scenario),
+  // ascending, capped at `limit` (0 = none).
   [[nodiscard]] api::op_result<std::vector<std::string>> with_prefix(
       const std::string& prefix, net::host_id origin, std::size_t limit = 0) const {
-    net::cursor cur(*net_, origin);
-    const auto loc = locate(prefix, origin);
     api::op_result<std::vector<std::string>> res;
-    std::vector<std::string>& out = res.value;
-    if (loc.matched < prefix.size()) {
-      res.stats = loc.stats;
-      return res;  // no stored string extends the query prefix
-    }
-    const seq::trie& g = ground();
-    const std::uint64_t p0 = tries_[0].begin()->first;
-    int top = g.node_for_path(loc.matched_path);
-    SW_ASSERT(top >= 0);
-    if (loc.matched > loc.matched_path.size()) {
-      // The prefix ends inside an edge: the subtree below that edge matches.
-      const auto& children = g.node(top).children;
-      const char c = prefix[loc.matched_path.size()];
-      int child = -1;
-      for (const auto& [ch, idx] : children) {
-        if (ch == c) child = idx;
-      }
-      SW_ASSERT(child >= 0);
-      top = child;
-    }
-    // DFS over the matching subtree, hopping to each node's host. Children
-    // are pushed in reverse so the walk emits in lexicographic order — a
-    // deadline give-up therefore returns an honest lexicographic prefix.
-    std::vector<int> stack{top};
-    while (!stack.empty()) {
-      if (limit != 0 && out.size() >= limit) break;
-      if (cur.expired()) {
-        cur.mark_degraded();
-        break;
-      }
-      const int v = stack.back();
-      stack.pop_back();
-      cur.move_to(host_of(0, p0, v));
-      const auto& nd = g.node(v);
-      if (nd.is_key) out.push_back(nd.path);
-      for (auto it = nd.children.rbegin(); it != nd.children.rend(); ++it) {
-        stack.push_back(it->second);
-      }
-    }
-    std::sort(out.begin(), out.end());
-    if (limit != 0 && out.size() > limit) out.resize(limit);
-    res.stats = loc.stats + api::op_stats::of(cur);
+    res.stats = visit_prefix(prefix, origin, limit,
+                             [&](const std::string& key) { res.value.push_back(key); });
     return res;
+  }
+
+  // How many stored strings extend `prefix`: the same walk and receipt as
+  // with_prefix, without copying a key.
+  [[nodiscard]] api::op_result<std::uint64_t> prefix_count(const std::string& prefix,
+                                                           net::host_id origin) const {
+    std::uint64_t n = 0;
+    const auto stats = visit_prefix(prefix, origin, 0, [&](const std::string&) { ++n; });
+    return {n, stats};
+  }
+
+  // The k strings extending `prefix` ranked by (string_weight desc, key
+  // asc): the same walk and receipt as with_prefix, ranking node paths in
+  // place and copying only the k winners.
+  [[nodiscard]] api::op_result<std::vector<std::string>> top_k(const std::string& prefix,
+                                                               std::size_t k,
+                                                               net::host_id origin) const {
+    api::weight_ranker rank(k);
+    const auto stats =
+        visit_prefix(prefix, origin, 0, [&](const std::string& key) { rank.offer(key); });
+    return {rank.take(), stats};
   }
 
   // All stored strings in the closed lexicographic window [lo, hi] (the
@@ -279,8 +259,8 @@ class skip_trie {
   //    parent-prefix trie one level denser (what the identity-on-paths
   //    hyperlinks rely on, Lemma 4's setting);
   //  - each trie is internally consistent: path = parent path + edge,
-  //    children sorted by first edge character, and every non-root node is
-  //    branching or a key end (compression leaves nothing else).
+  //    children sorted by first edge byte (unsigned), and every non-root
+  //    node is branching or a key end (compression leaves nothing else).
   [[nodiscard]] bool check_invariants() const {
     for (int l = 0; l <= levels_; ++l) {
       const auto& tier = tries_[static_cast<std::size_t>(l)];
@@ -318,7 +298,10 @@ class skip_trie {
           if (denser != nullptr && denser->node_for_path(nd.path) < 0) return false;
           for (std::size_t i = 0; i < nd.children.size(); ++i) {
             const auto& [c, child] = nd.children[i];
-            if (i > 0 && !(nd.children[i - 1].first < c)) return false;
+            if (i > 0 && !(static_cast<unsigned char>(nd.children[i - 1].first) <
+                           static_cast<unsigned char>(c))) {
+              return false;
+            }
             const auto& edge = t.node(child).edge;
             if (edge.empty() || edge[0] != c) return false;
             stack.push_back(child);
@@ -353,6 +336,59 @@ class skip_trie {
   }
 
  private:
+  // The one prefix-subtree walk behind with_prefix / prefix_count / top_k:
+  // locate the subtree via the skip levels, then walk it, paying one hop per
+  // trie node visited (output-sensitive enumeration), and hand each stored
+  // key's node path to `emit` — a reference into the ground trie, valid for
+  // the call. Stops after `limit` keys (0 = none).
+  template <typename Emit>
+  api::op_stats visit_prefix(const std::string& prefix, net::host_id origin, std::size_t limit,
+                             Emit&& emit) const {
+    net::cursor cur(*net_, origin);
+    const auto loc = locate(prefix, origin);
+    if (loc.matched < prefix.size()) return loc.stats;  // no stored string extends it
+    const seq::trie& g = ground();
+    const std::uint64_t p0 = tries_[0].begin()->first;
+    int top = g.node_for_path(loc.matched_path);
+    SW_ASSERT(top >= 0);
+    if (loc.matched > loc.matched_path.size()) {
+      // The prefix ends inside an edge: the subtree below that edge matches.
+      const auto& children = g.node(top).children;
+      const char c = prefix[loc.matched_path.size()];
+      int child = -1;
+      for (const auto& [ch, idx] : children) {
+        if (ch == c) child = idx;
+      }
+      SW_ASSERT(child >= 0);
+      top = child;
+    }
+    // DFS over the matching subtree, hopping to each node's host. Children
+    // are sorted by first byte and pushed in reverse, so keys are emitted in
+    // ascending lexicographic order — a deadline give-up or the limit cap
+    // therefore leaves an honest lexicographic prefix.
+    std::size_t emitted = 0;
+    std::vector<int> stack{top};
+    while (!stack.empty()) {
+      if (limit != 0 && emitted >= limit) break;
+      if (cur.expired()) {
+        cur.mark_degraded();
+        break;
+      }
+      const int v = stack.back();
+      stack.pop_back();
+      cur.move_to(host_of(0, p0, v));
+      const auto& nd = g.node(v);
+      if (nd.is_key) {
+        emit(nd.path);
+        ++emitted;
+      }
+      for (auto it = nd.children.rbegin(); it != nd.children.rend(); ++it) {
+        stack.push_back(it->second);
+      }
+    }
+    return loc.stats + api::op_stats::of(cur);
+  }
+
   static int levels_for(std::size_t n) {
     int l = 0;
     while ((std::size_t{1} << l) < n) ++l;

@@ -41,6 +41,34 @@ std::uint64_t round1(std::uint64_t acc, std::uint64_t lane) {
   return rotl64(acc + lane * kP2, 31) * kP1;
 }
 
+// fsync the stream's file (its stdio buffer already flushed).
+bool sync_file(std::FILE* f) {
+#if defined(SKIPWEB_HAVE_MMAP)
+  return ::fsync(::fileno(f)) == 0;
+#else
+  (void)f;
+  return true;
+#endif
+}
+
+// fsync the directory holding `path`, so a rename into it is durable.
+bool sync_parent_dir(const std::string& path) {
+#if defined(SKIPWEB_HAVE_MMAP)
+  const auto slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0                ? "/"
+                                                      : path.substr(0, slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
+#else
+  (void)path;
+  return true;
+#endif
+}
+
 }  // namespace
 
 // The XXH64 construction: four interleaved 64-bit lanes over 32-byte
@@ -94,30 +122,37 @@ std::uint64_t checksum64(const void* data, std::size_t bytes, std::uint64_t seed
 
 // --- writer ------------------------------------------------------------------
 
-writer::writer(const std::string& path) : path_(path) {
-  f_ = std::fopen(path.c_str(), "wb");
-  if (f_ == nullptr) fail("cannot open '" + path + "' for writing: " + std::strerror(errno));
+writer::writer(const std::string& path) : path_(path), tmp_path_(path + ".tmp") {
+  f_ = std::fopen(tmp_path_.c_str(), "wb");
+  if (f_ == nullptr) {
+    fail("cannot open '" + tmp_path_ + "' for writing: " + std::strerror(errno));
+  }
   const file_header placeholder{};
-  put(&placeholder, sizeof(placeholder));
+  try {
+    put(&placeholder, sizeof(placeholder));
+  } catch (...) {
+    std::fclose(f_);  // no destructor runs for a throwing constructor
+    std::remove(tmp_path_.c_str());
+    throw;
+  }
 }
 
 writer::~writer() {
-  if (f_ != nullptr) {
-    std::fclose(f_);
-    // An unfinished writer leaves no half-written snapshot behind.
-    if (!finished_) std::remove(path_.c_str());
-  }
+  if (f_ != nullptr) std::fclose(f_);
+  // An unfinished save leaves no half-written file behind — and never
+  // touches the snapshot already at path_.
+  if (!finished_) std::remove(tmp_path_.c_str());
 }
 
 void writer::put(const void* data, std::size_t bytes) {
   if (bytes > 0 && std::fwrite(data, 1, bytes, f_) != bytes) {
-    fail("write failed for '" + path_ + "': " + std::strerror(errno));
+    fail("write failed for '" + tmp_path_ + "': " + std::strerror(errno));
   }
   offset_ += bytes;
 }
 
 void writer::add(std::string_view name, const void* data, std::size_t bytes) {
-  if (finished_) fail("add() after finish()");
+  if (f_ == nullptr) fail("add() on a finished or failed writer");
   section_entry e;
   e.id = section_id(name);
   for (const auto& prev : table_) {
@@ -134,7 +169,7 @@ void writer::add(std::string_view name, const void* data, std::size_t bytes) {
 }
 
 void writer::finish() {
-  if (finished_) fail("finish() called twice");
+  if (f_ == nullptr) fail("finish() on a finished or failed writer");
   file_header h;
   h.section_count = table_.size();
   h.table_offset = offset_;
@@ -147,12 +182,22 @@ void writer::finish() {
   if (std::fwrite(&h, 1, sizeof(h), f_) != sizeof(h)) {
     fail("header patch failed: " + std::string(std::strerror(errno)));
   }
-  if (std::fflush(f_) != 0 || std::fclose(f_) != 0) {
-    f_ = nullptr;
-    fail("flush/close failed for '" + path_ + "': " + std::strerror(errno));
-  }
+  // Durable replace: the bytes reach the disk before the rename makes them
+  // the snapshot, and the rename reaches the disk before finish() returns.
+  // A crash or error at any point leaves the previous snapshot intact.
+  const bool flushed = std::fflush(f_) == 0 && sync_file(f_);
+  const bool closed = std::fclose(f_) == 0;
   f_ = nullptr;
+  if (!flushed || !closed) {
+    fail("flush/close failed for '" + tmp_path_ + "': " + std::strerror(errno));
+  }
+  if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
+    fail("cannot rename '" + tmp_path_ + "' to '" + path_ + "': " + std::strerror(errno));
+  }
   finished_ = true;
+  if (!sync_parent_dir(path_)) {
+    fail("cannot sync the directory of '" + path_ + "': " + std::strerror(errno));
+  }
 }
 
 // --- reader ------------------------------------------------------------------

@@ -36,7 +36,11 @@ namespace skipweb::persist {
 //
 // Writing streams: header placeholder, sections as they arrive (checksummed
 // on the way through), table, then one seek back to patch the header. Peak
-// writer memory is one section table, never a buffered payload.
+// writer memory is one section table, never a buffered payload. The stream
+// goes to `path + ".tmp"`; finish() fsyncs it, renames it over `path` and
+// fsyncs the directory, so re-saving never destroys the last good snapshot
+// (an abandoned or failed save removes only the .tmp) and a reader mapping
+// the old file keeps its inode.
 
 inline constexpr std::uint64_t snapshot_magic = 0x003150414E535753ull;  // "SWSNAP1\0"
 inline constexpr std::uint32_t snapshot_version = 1;
@@ -83,7 +87,8 @@ class error : public std::runtime_error {
 };
 
 // Streams one snapshot file. Sections are written in call order; finish()
-// seals the file (without it the file is left truncated and unreadable).
+// seals the file and publishes it at `path` (without it nothing is
+// published and any snapshot already at `path` is untouched).
 class writer {
  public:
   explicit writer(const std::string& path);
@@ -117,6 +122,7 @@ class writer {
   void put(const void* data, std::size_t bytes);
 
   std::string path_;
+  std::string tmp_path_;  // path_ + ".tmp": where the stream goes until finish()
   std::FILE* f_ = nullptr;
   std::uint64_t offset_ = 0;
   std::vector<section_entry> table_;

@@ -36,7 +36,7 @@ class trie {
     std::int32_t parent = -1;
     std::string edge;              // label on the edge from the parent
     std::string path;              // full string from the root (node identity)
-    std::vector<std::pair<char, std::int32_t>> children;  // sorted by first char
+    std::vector<std::pair<char, std::int32_t>> children;  // sorted by first byte
     bool is_key = false;
   };
 
@@ -207,10 +207,16 @@ class trie {
   }
 
  private:
+  // Child tables are ordered by first edge byte as UNSIGNED — std::string's
+  // order — so a pre-order walk emits stored strings in ascending order for
+  // any bytes, not only ASCII.
+  static bool child_before(const std::pair<char, std::int32_t>& pair, char key) {
+    return static_cast<unsigned char>(pair.first) < static_cast<unsigned char>(key);
+  }
+
   [[nodiscard]] int child_for(int nidx, char c) const {
     const auto& ch = node(nidx).children;
-    auto it = std::lower_bound(ch.begin(), ch.end(), c,
-                               [](const auto& pair, char key) { return pair.first < key; });
+    auto it = std::lower_bound(ch.begin(), ch.end(), c, child_before);
     return (it != ch.end() && it->first == c) ? it->second : -1;
   }
 
@@ -243,8 +249,7 @@ class trie {
   void link_child(int parent, int child) {
     auto& ch = nodes_[static_cast<std::size_t>(parent)].children;
     const char c = nodes_[static_cast<std::size_t>(child)].edge[0];
-    auto it = std::lower_bound(ch.begin(), ch.end(), c,
-                               [](const auto& pair, char key) { return pair.first < key; });
+    auto it = std::lower_bound(ch.begin(), ch.end(), c, child_before);
     SW_ASSERT(it == ch.end() || it->first != c);
     ch.insert(it, {c, child});
   }

@@ -104,6 +104,49 @@ TEST(Persist, UnfinishedWriterLeavesNoFile) {
   EXPECT_FALSE(fs::exists(path));
 }
 
+// Re-saving over a good snapshot streams to a side file and renames it into
+// place only on finish(): an abandoned re-save and a re-save that throws
+// mid-way both leave the last good snapshot restorable, in both modes, and
+// no side file behind.
+TEST(Persist, AbandonedResaveKeepsTheLastGoodSnapshot) {
+  rng r(5150);
+  const auto keys_a = wl::uniform_keys(300, r);
+  const auto keys_b = wl::uniform_keys(500, r);
+  const auto opts = api::index_options{}.seed(8).initial_hosts(8);
+  const auto path = snap_path("resave");
+  network net_a(1), net_b(1), net_c(1);
+  const auto a = api::make_index("skipweb1d", keys_a, opts, net_a);
+  const auto b = api::make_index("skipweb1d", keys_b, opts, net_b);
+  const auto c = api::make_index("chord", keys_b, opts, net_c);  // no snapshot surface
+  api::save_index_snapshot(*a, path);
+  {
+    // A save of B given up before finish().
+    persist::writer w(path);
+    w.add_string("meta.backend", b->backend());
+    w.add_u64("meta.index_kind", 0);
+    w.add_u64("meta.n", b->size());
+    b->save_snapshot(w);
+  }
+  EXPECT_THROW(api::save_index_snapshot(*c, path), api::unsupported_operation);
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  rng pr(5151);
+  const auto probes = wl::probe_keys(keys_a, 60, pr);
+  for (const auto mode : {persist::restore_mode::load, persist::restore_mode::map}) {
+    network net(1);
+    const auto twin = api::restore_index(path, mode, net);
+    ASSERT_EQ(twin->size(), keys_a.size());
+    for (const auto q : probes) {
+      const auto want = a->nearest(q, h(1));
+      const auto got = twin->nearest(q, h(1));
+      ASSERT_EQ(got.has_pred, want.has_pred) << q;
+      ASSERT_EQ(got.pred, want.pred) << q;
+      ASSERT_EQ(got.has_succ, want.has_succ) << q;
+      ASSERT_EQ(got.succ, want.succ) << q;
+      ASSERT_EQ(twin->contains(q, h(1)).value, a->contains(q, h(1)).value) << q;
+    }
+  }
+}
+
 // --- layer 2: corruption is a clean error, never UB --------------------------
 
 class PersistCorruption : public ::testing::Test {
